@@ -34,6 +34,7 @@ from repro.autograd.function import count_flops
 from repro.sparse import kernels
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.rowsparse import unique_ids
 
 SparseLike = Union[COOMatrix, CSRMatrix, sp.spmatrix]
 
@@ -81,7 +82,8 @@ def _record(A: SparseLike, X: np.ndarray, out: np.ndarray, kernel: str,
     elif sp.issparse(A):
         coo_cols = A.tocoo().col
     row_bytes = X.itemsize * (X.shape[1] if X.ndim > 1 else 1)
-    unique_reads = len(np.unique(coo_cols)) * row_bytes if coo_cols is not None else 0
+    unique_reads = (unique_ids(coo_cols, A.shape[1]).size * row_bytes
+                    if coo_cols is not None else 0)
     unique = unique_reads + out.nbytes
     streamed = (A.nnz * row_bytes) + out.nbytes
     count_flops(kernel, spmm_flops(A, X), bytes_streamed=streamed,
@@ -104,7 +106,7 @@ class SpMMBackend:
         Optional fused backward ``(A, grad, n_rows) -> RowSparseGrad``.  When
         set, the autograd wrapper (:func:`repro.sparse.spmm.spmm`) and the
         partitioned scoring path route the row-sparse backward through it
-        instead of the generic gather/scale/coalesce reference.
+        instead of the generic compacted-SpMM reference.
     """
 
     name: str
@@ -288,10 +290,10 @@ def _compiled_rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int):
     """Fused ``A^T @ grad`` in row-sparse form (the ``"compiled"`` backward).
 
     Same contract and flop/byte accounting as
-    :func:`repro.sparse.spmm._rowsparse_backward`, but the gather, scale, and
-    coalesce run on the fused schedule of
-    :func:`repro.sparse.kernels.rowsparse_bwd` and the measured wall-time is
-    attributed to ``spmm_bwd[compiled]``.
+    :func:`repro.sparse.spmm._rowsparse_backward`, but the product runs in
+    :func:`repro.sparse.kernels.rowsparse_bwd` (one fused numba pass when
+    importable, the reference's compacted SpMM otherwise) and the measured
+    wall-time is attributed to ``spmm_bwd[compiled]``.
     """
     from repro.sparse.rowsparse import RowSparseGrad
 
@@ -323,7 +325,7 @@ def register_backend(name: str, fn: Callable[[SparseLike, np.ndarray], np.ndarra
     the equivalent hook.  Registered backends become selectable by name in
     every model constructor.  ``rowsparse_backward`` optionally supplies a
     fused ``(A, grad, n_rows) -> RowSparseGrad`` backward used in place of the
-    generic gather/scale/coalesce path.
+    generic compacted-SpMM path.
     """
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"backend {name!r} already registered (pass overwrite=True to replace)")

@@ -29,12 +29,28 @@ Format = Literal["coo", "csr"]
 SparseMat = Union[COOMatrix, CSRMatrix]
 
 
-def _finalize(coo: COOMatrix, fmt: Format) -> SparseMat:
-    if fmt == "coo":
-        return coo
-    if fmt == "csr":
-        return coo.tocsr()
-    raise ValueError(f"format must be 'coo' or 'csr', got {fmt!r}")
+def _check_format(fmt: Format) -> None:
+    if fmt not in ("coo", "csr"):
+        raise ValueError(f"format must be 'coo' or 'csr', got {fmt!r}")
+
+
+def _sorted_pair(heads: np.ndarray, tails: np.ndarray):
+    """Head (+1) and tail (−1) entries of each row in ascending column order.
+
+    Returns ``(lo_cols, hi_cols, lo_vals)`` (the ``hi`` value is ``−lo_vals``);
+    on ``head == tail`` the head stays first — the order a stable per-row
+    column sort gives, i.e. the order :meth:`COOMatrix.tocsr` produces.
+    """
+    swap = tails < heads
+    return (np.where(swap, tails, heads), np.where(swap, heads, tails),
+            np.where(swap, -1.0, 1.0))
+
+
+def _direct_csr(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> CSRMatrix:
+    """CSR from per-row ``(M, k)`` entries already in column order: ``indptr = k·arange``."""
+    m, k = cols.shape
+    indptr = k * np.arange(m + 1, dtype=np.int64)
+    return CSRMatrix(indptr, cols.ravel(), vals.ravel(), (m, int(n_cols)))
 
 
 def build_ht_incidence(
@@ -60,8 +76,13 @@ def build_ht_incidence(
     row (they cancel when ``head == tail``, which is the mathematically
     correct ``h − t = 0``).
     """
+    _check_format(fmt)
     triples = check_triples(triples, n_entities=n_entities)
     m = triples.shape[0]
+    if fmt == "csr":
+        lo, hi, lo_vals = _sorted_pair(triples[:, 0], triples[:, 2])
+        return _direct_csr(np.column_stack([lo, hi]),
+                           np.column_stack([lo_vals, -lo_vals]), n_entities)
     rows = np.repeat(np.arange(m, dtype=np.int64), 2)
     cols = np.empty(2 * m, dtype=np.int64)
     cols[0::2] = triples[:, 0]
@@ -69,8 +90,7 @@ def build_ht_incidence(
     vals = np.empty(2 * m, dtype=np.float64)
     vals[0::2] = 1.0
     vals[1::2] = -1.0
-    coo = COOMatrix(rows, cols, vals, (m, int(n_entities)))
-    return _finalize(coo, fmt)
+    return COOMatrix(rows, cols, vals, (m, int(n_entities)))
 
 
 def build_hrt_incidence(
@@ -90,8 +110,16 @@ def build_hrt_incidence(
     Sparse matrix of shape ``(M, n_entities + n_relations)`` with exactly
     three non-zeros per row.
     """
+    _check_format(fmt)
     triples = check_triples(triples, n_entities=n_entities, n_relations=n_relations)
     m = triples.shape[0]
+    if fmt == "csr":
+        # The relation column (offset by N) exceeds every entity column, so
+        # it is always last; only the head/tail pair needs ordering.
+        lo, hi, lo_vals = _sorted_pair(triples[:, 0], triples[:, 2])
+        cols = np.column_stack([lo, hi, triples[:, 1] + int(n_entities)])
+        vals = np.column_stack([lo_vals, -lo_vals, np.ones(m, dtype=np.float64)])
+        return _direct_csr(cols, vals, int(n_entities) + int(n_relations))
     rows = np.repeat(np.arange(m, dtype=np.int64), 3)
     cols = np.empty(3 * m, dtype=np.int64)
     cols[0::3] = triples[:, 0]
@@ -101,8 +129,7 @@ def build_hrt_incidence(
     vals[0::3] = 1.0
     vals[1::3] = 1.0
     vals[2::3] = -1.0
-    coo = COOMatrix(rows, cols, vals, (m, int(n_entities) + int(n_relations)))
-    return _finalize(coo, fmt)
+    return COOMatrix(rows, cols, vals, (m, int(n_entities) + int(n_relations)))
 
 
 class IncidenceBuilder:
@@ -127,8 +154,7 @@ class IncidenceBuilder:
             raise ValueError(f"n_entities must be positive, got {n_entities}")
         if n_relations <= 0:
             raise ValueError(f"n_relations must be positive, got {n_relations}")
-        if fmt not in ("coo", "csr"):
-            raise ValueError(f"format must be 'coo' or 'csr', got {fmt!r}")
+        _check_format(fmt)
         self.n_entities = int(n_entities)
         self.n_relations = int(n_relations)
         self.fmt: Format = fmt

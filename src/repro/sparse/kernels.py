@@ -3,8 +3,7 @@
 The three inner loops that dominate a training step — the incidence SpMM
 forward, its row-sparse backward, and the margin-ranking loss — all stream a
 handful of arrays once.  The generic backends pay for that streaming several
-times over: every gather materialises an ``(nnz, d)`` temporary, the backward
-materialises the contribution matrix *and* a sorted copy of it, and the loss
+times over: every gather materialises an ``(nnz, d)`` temporary and the loss
 walks the batch four times (sub, add, relu, mean).  This module provides the
 fused alternatives the ``"compiled"`` backend is built from:
 
@@ -15,7 +14,8 @@ fused alternatives the ``"compiled"`` backend is built from:
   batch-sized.  The numpy paths are bit-identical to the reference kernels
   (same elementwise operations in the same order — blocking only changes
   *where* the partial results live, not the floating-point schedule), which
-  is what the parity suite asserts.
+  is what the parity suite asserts.  The row-sparse backward has no blocked
+  twin: without numba it is the reference's compacted-transpose SpMM.
 
 numba is an optional dependency: nothing in this module imports it at call
 time when it is absent, and every consumer falls back to the numpy path.
@@ -26,6 +26,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.sparse.rowsparse import segment_sum
 
 try:  # pragma: no cover - exercised only where numba is installed
     from numba import njit
@@ -144,33 +146,28 @@ def rowsparse_bwd(cols: np.ndarray, rows: np.ndarray, vals: np.ndarray,
     """Fused ``A^T @ grad`` in coalesced row-sparse form.
 
     Returns ``(unique_cols, packed_rows)`` — the
-    :class:`~repro.sparse.rowsparse.RowSparseGrad` payload.  The reference
-    path materialises the full ``(nnz, d)`` contribution matrix and then a
-    *second* sorted copy of it inside ``coalesce_rows``; here the sort
-    permutation is applied to the index arrays first, so the contributions are
-    computed directly in coalescing order (one ``(nnz, d)`` temporary instead
-    of two) and — with numba — never materialised at all: the compiled kernel
-    fuses the gather, the scale, and the segment-sum into one pass.
+    :class:`~repro.sparse.rowsparse.RowSparseGrad` payload.  With numba the
+    compiled kernel fuses the gather, the scale, and the segment-sum into one
+    pass over the column-sorted entries.  Without it the entries are put in
+    source-row order and summed by the same compacted-transpose SpMM as the
+    reference backward (:func:`~repro.sparse.rowsparse.segment_sum`), so the
+    two are bit-identical.
     """
-    order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[order]
-    sorted_rows = rows[order]
-    sorted_vals = vals[order].astype(grad.dtype, copy=False)
-    if sorted_cols.size == 0:
-        return sorted_cols, np.empty((0, grad.shape[1]), dtype=grad.dtype)
-    if HAVE_NUMBA and grad.ndim == 2:
+    if HAVE_NUMBA and grad.ndim == 2 and cols.size:  # pragma: no cover - numba CI job
+        order = np.argsort(cols, kind="stable")
+        sorted_cols = cols[order]
         n_unique = 1 + int(np.count_nonzero(sorted_cols[1:] != sorted_cols[:-1]))
         unique = np.empty(n_unique, dtype=np.int64)
         packed = np.zeros((n_unique, grad.shape[1]), dtype=grad.dtype)
-        _numba_rowsparse_bwd(sorted_cols, sorted_rows, sorted_vals,
+        _numba_rowsparse_bwd(sorted_cols, rows[order],
+                             vals[order].astype(grad.dtype, copy=False),
                              np.ascontiguousarray(grad), unique, packed)
         return unique, packed
-    contributions = sorted_vals[:, None] * grad[sorted_rows]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], sorted_cols[1:] != sorted_cols[:-1])))
-    unique = sorted_cols[boundaries]
-    packed = np.add.reduceat(contributions, boundaries, axis=0)
-    return unique, packed
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(grad.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=grad.shape[0]), out=indptr[1:])
+    n_cols = int(cols.max()) + 1 if cols.size else 0
+    return segment_sum(cols[order], indptr, vals[order], grad, n_cols)
 
 
 # --------------------------------------------------------------------------- #

@@ -31,12 +31,11 @@ from repro.sparse.backends import (
     DEFAULT_BACKEND,
     SparseLike,
     SpMMBackend,
-    _as_coo,
     get_backend,
 )
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.rowsparse import RowSparseGrad
+from repro.sparse.rowsparse import RowSparseGrad, segment_sum
 
 
 def _transpose(A: SparseLike):
@@ -47,24 +46,42 @@ def _transpose(A: SparseLike):
     raise TypeError(f"expected a sparse matrix, got {type(A)!r}")
 
 
+def _csr_arrays(A: SparseLike):
+    """``(indptr, indices, data)`` of ``A`` in CSR order (no copy for CSR input).
+
+    COO input is sorted by ``(row, col)``; that reorders entries only within
+    a row and keeps duplicates of one column in stored order, so each output
+    row of the backward still adds the same terms in the same order.
+    """
+    if isinstance(A, COOMatrix):
+        A = A.tocsr()
+    if isinstance(A, CSRMatrix):
+        return A.indptr, A.indices, A.data
+    if sp.issparse(A):
+        csr = A.tocsr()
+        return csr.indptr, csr.indices, csr.data
+    raise TypeError(f"expected a sparse matrix, got {type(A)!r}")
+
+
 def _rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> RowSparseGrad:
     """Backward SpMM ``A^T @ grad`` emitted directly in row-sparse form.
 
-    Each stored entry ``(r, c, v)`` of ``A`` contributes ``v * grad[r]`` to
-    output row ``c``, so the whole product is one gather, one scale, and one
-    coalesce over ``nnz`` rows — no ``(K, d)`` densification and no transpose.
+    One SpMM with the column-compacted ``A^T``
+    (:func:`~repro.sparse.rowsparse.segment_sum`): only the rows of ``X`` the
+    batch touched are produced, already coalesced — no ``(K, d)``
+    densification, no ``(nnz, d)`` contribution array and no sort.
     """
-    coo = _as_coo(A)
     t0 = time.perf_counter()
-    vals = coo.values.astype(grad.dtype, copy=False)
-    contributions = vals[:, None] * grad[coo.rows]
-    out = RowSparseGrad.from_rows(coo.cols, contributions, (n_rows,) + grad.shape[1:])
+    indptr, cols, vals = _csr_arrays(A)
+    unique, packed = segment_sum(cols, indptr, vals, grad, n_rows)
+    out = RowSparseGrad(unique, packed, (n_rows,) + grad.shape[1:])
+    nnz = cols.size
     d = grad.shape[1] if grad.ndim > 1 else 1
     row_bytes = grad.itemsize * d
     count_flops(
         "spmm_bwd[rowsparse]",
-        2 * coo.nnz * d,
-        bytes_streamed=2 * coo.nnz * row_bytes + out.values.nbytes,
+        2 * nnz * d,
+        bytes_streamed=2 * nnz * row_bytes + out.values.nbytes,
         bytes_unique=out.n_rows * row_bytes + out.values.nbytes,
         seconds=time.perf_counter() - t0,
     )

@@ -162,3 +162,54 @@ class TestIncidenceProperties:
         A = build_ht_incidence(triples, n_entities)
         np.testing.assert_allclose(A.matvec(np.ones(n_entities)), np.zeros(n_triples),
                                    atol=1e-12)
+
+
+class TestDirectCSR:
+    """The CSR builders skip ``COOMatrix.tocsr`` but must store the same arrays."""
+
+    @staticmethod
+    def _triples(seed, m=200, n_entities=30, n_relations=4):
+        rng = np.random.default_rng(seed)
+        triples = np.column_stack([rng.integers(0, n_entities, m),
+                                   rng.integers(0, n_relations, m),
+                                   rng.integers(0, n_entities, m)])
+        triples[::7, 2] = triples[::7, 0]  # head == tail rows
+        return triples
+
+    @staticmethod
+    def _assert_same_csr(direct, via_coo):
+        assert isinstance(direct, CSRMatrix)
+        assert direct.shape == via_coo.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(direct, name), getattr(via_coo, name)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hrt_equals_tocsr_of_coo(self, seed):
+        triples = self._triples(seed)
+        self._assert_same_csr(build_hrt_incidence(triples, 30, 4, fmt="csr"),
+                              build_hrt_incidence(triples, 30, 4, fmt="coo").tocsr())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ht_equals_tocsr_of_coo(self, seed):
+        triples = self._triples(seed)
+        self._assert_same_csr(build_ht_incidence(triples, 30, fmt="csr"),
+                              build_ht_incidence(triples, 30, fmt="coo").tocsr())
+
+    def test_head_equals_tail_keeps_both_entries_head_first(self):
+        A = build_hrt_incidence(np.array([[3, 1, 3], [4, 0, 2]]), 5, 2, fmt="csr")
+        np.testing.assert_array_equal(A.indptr, [0, 3, 6])
+        np.testing.assert_array_equal(A.indices, [3, 3, 6, 2, 4, 5])
+        np.testing.assert_array_equal(A.data, [1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+
+    def test_relation_offset_is_last_column(self):
+        triples = self._triples(3)
+        A = build_hrt_incidence(triples, 30, 4, fmt="csr")
+        np.testing.assert_array_equal(A.indices[2::3], triples[:, 1] + 30)
+        np.testing.assert_array_equal(A.data[2::3], 1.0)
+
+    def test_empty_batch(self):
+        A = build_hrt_incidence(np.empty((0, 3), dtype=np.int64), 5, 2, fmt="csr")
+        assert A.shape == (0, 7) and A.nnz == 0
+        np.testing.assert_array_equal(A.indptr, [0])
