@@ -22,7 +22,8 @@ What this harness does
 
 The ``compiled`` backend uses numba JIT kernels when numba is importable and a
 cache-blocked pure-numpy path otherwise; ``kernels.HAVE_NUMBA`` is included in
-the JSON payload so results are never compared across the two silently.  The
+the JSON payload, with the core count and toolchain versions, so results are
+never compared across the two, or across hosts, silently.  The
 default scale keeps each case in seconds; ``--scale 3.3`` gives an FB15K-shaped
 workload with ~50k entities, the configuration the PR's numba acceptance
 numbers refer to.
@@ -41,6 +42,7 @@ from benchmarks.common import (
     DEFAULT_DIM,
     DEFAULT_SCALE,
     format_table,
+    host_fingerprint,
     load_scaled_dataset,
     paper_training_config,
 )
@@ -160,7 +162,7 @@ def run(scale: float = DEFAULT_SCALE, epochs: int = 2, dim: int = DEFAULT_DIM,
     return {
         "config": {"scale": scale, "epochs": epochs, "dim": dim,
                    "batch_size": batch_size, "n_entities": kg.n_entities,
-                   "numba": kernels.HAVE_NUMBA},
+                   "numba": kernels.HAVE_NUMBA, **host_fingerprint()},
         "rows": rows,
         "per_op_seconds": per_op,
     }

@@ -11,10 +11,13 @@ mix across datasets is preserved.
 
 from __future__ import annotations
 
+import os
+import platform
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy
 
 from repro.baselines import DenseTorusE, DenseTransE, DenseTransH, DenseTransR
 from repro.data import (
@@ -40,6 +43,12 @@ MODEL_PAIRS: Dict[str, Tuple[type, type, dict]] = {
     "TransH": (SpTransH, DenseTransH, {}),
     "TorusE": (SpTorusE, DenseTorusE, {}),
 }
+
+
+def host_fingerprint() -> Dict[str, object]:
+    """Core count and toolchain versions, stored with every checked-in result."""
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 @dataclass

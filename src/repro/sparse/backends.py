@@ -34,7 +34,7 @@ from repro.autograd.function import count_flops
 from repro.sparse import kernels
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.rowsparse import unique_ids
+from repro.sparse.rowsparse import segment_sum, unique_ids
 
 SparseLike = Union[COOMatrix, CSRMatrix, sp.spmatrix]
 
@@ -56,6 +56,23 @@ def _as_coo(A: SparseLike) -> COOMatrix:
         return A.tocoo()
     if sp.issparse(A):
         return COOMatrix.from_scipy(A)
+    raise TypeError(f"expected a sparse matrix, got {type(A)!r}")
+
+
+def _csr_arrays(A: SparseLike):
+    """``(indptr, indices, data)`` of ``A`` in CSR order (no copy for CSR input).
+
+    COO input is sorted by ``(row, col)``; that reorders entries only within
+    a row and keeps duplicates of one column in stored order, so each output
+    row of the backward still adds the same terms in the same order.
+    """
+    if isinstance(A, COOMatrix):
+        A = A.tocsr()
+    if isinstance(A, CSRMatrix):
+        return A.indptr, A.indices, A.data
+    if sp.issparse(A):
+        csr = A.tocsr()
+        return csr.indptr, csr.indices, csr.data
     raise TypeError(f"expected a sparse matrix, got {type(A)!r}")
 
 
@@ -290,23 +307,30 @@ def _compiled_rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int):
     """Fused ``A^T @ grad`` in row-sparse form (the ``"compiled"`` backward).
 
     Same contract and flop/byte accounting as
-    :func:`repro.sparse.spmm._rowsparse_backward`, but the product runs in
-    :func:`repro.sparse.kernels.rowsparse_bwd` (one fused numba pass when
-    importable, the reference's compacted SpMM otherwise) and the measured
-    wall-time is attributed to ``spmm_bwd[compiled]``.
+    :func:`repro.sparse.spmm._rowsparse_backward`, but with numba the product
+    runs in :func:`repro.sparse.kernels.rowsparse_bwd` (one fused pass over
+    the column-sorted COO entries); without it, it is the reference's
+    compacted SpMM on the CSR arrays.  The measured wall-time is attributed
+    to ``spmm_bwd[compiled]``.
     """
     from repro.sparse.rowsparse import RowSparseGrad
 
-    coo = _as_coo(A)
     t0 = time.perf_counter()
-    unique, packed = kernels.rowsparse_bwd(coo.cols, coo.rows, coo.values, grad)
+    if kernels.HAVE_NUMBA and grad.ndim == 2:  # pragma: no cover - numba CI job
+        coo = _as_coo(A)
+        nnz = coo.nnz
+        unique, packed = kernels.rowsparse_bwd(coo.cols, coo.rows, coo.values, grad)
+    else:
+        indptr, cols, vals = _csr_arrays(A)
+        nnz = cols.size
+        unique, packed = segment_sum(cols, indptr, vals, grad, n_rows)
     out = RowSparseGrad(unique, packed, (n_rows,) + grad.shape[1:])
     d = grad.shape[1] if grad.ndim > 1 else 1
     row_bytes = grad.itemsize * d
     count_flops(
         "spmm_bwd[compiled]",
-        2 * coo.nnz * d,
-        bytes_streamed=2 * coo.nnz * row_bytes + out.values.nbytes,
+        2 * nnz * d,
+        bytes_streamed=2 * nnz * row_bytes + out.values.nbytes,
         bytes_unique=out.n_rows * row_bytes + out.values.nbytes,
         seconds=time.perf_counter() - t0,
     )

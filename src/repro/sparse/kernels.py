@@ -27,6 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.sparse.coo import COOMatrix
 from repro.sparse.rowsparse import segment_sum
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -148,10 +149,10 @@ def rowsparse_bwd(cols: np.ndarray, rows: np.ndarray, vals: np.ndarray,
     Returns ``(unique_cols, packed_rows)`` — the
     :class:`~repro.sparse.rowsparse.RowSparseGrad` payload.  With numba the
     compiled kernel fuses the gather, the scale, and the segment-sum into one
-    pass over the column-sorted entries.  Without it the entries are put in
-    source-row order and summed by the same compacted-transpose SpMM as the
-    reference backward (:func:`~repro.sparse.rowsparse.segment_sum`), so the
-    two are bit-identical.
+    pass over the column-sorted entries.  Without it the entries go through
+    :meth:`~repro.sparse.coo.COOMatrix.tocsr` into the same compacted-transpose
+    SpMM as the reference backward (:func:`~repro.sparse.rowsparse.segment_sum`),
+    so the two are bit-identical.
     """
     if HAVE_NUMBA and grad.ndim == 2 and cols.size:  # pragma: no cover - numba CI job
         order = np.argsort(cols, kind="stable")
@@ -163,11 +164,9 @@ def rowsparse_bwd(cols: np.ndarray, rows: np.ndarray, vals: np.ndarray,
                              vals[order].astype(grad.dtype, copy=False),
                              np.ascontiguousarray(grad), unique, packed)
         return unique, packed
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(grad.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=grad.shape[0]), out=indptr[1:])
     n_cols = int(cols.max()) + 1 if cols.size else 0
-    return segment_sum(cols[order], indptr, vals[order], grad, n_cols)
+    csr = COOMatrix(rows, cols, vals, (grad.shape[0], n_cols)).tocsr()
+    return segment_sum(csr.indices, csr.indptr, csr.data, grad, n_cols)
 
 
 # --------------------------------------------------------------------------- #

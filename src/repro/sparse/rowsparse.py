@@ -23,7 +23,7 @@ and the optimizers' scatter updates — is handled by the framework.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,12 +34,8 @@ def unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
 
     One boolean scatter plus one scan: ``O(len(ids) + n)`` and no sort.  For
     a training batch against its vocabulary (24k ids, 62k rows) that is
-    0.1 ms against 4 ms for ``np.unique``; only a handful of ids against a
-    far larger ``n`` is cheaper to sort.
+    0.1 ms against 4 ms for ``np.unique``.
     """
-    ids = np.asarray(ids)
-    if 256 * ids.size < n:
-        return np.unique(ids)
     mark = np.zeros(n, dtype=bool)
     mark[ids] = True
     return np.flatnonzero(mark)
@@ -80,14 +76,12 @@ def segment_sum(targets: np.ndarray, indptr: np.ndarray, weights: np.ndarray,
     return unique, packed.reshape((unique.size,) + values.shape[1:])
 
 
-def coalesce_rows(rows: np.ndarray, values: np.ndarray,
-                  n_rows: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+def coalesce_rows(rows: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sum ``values`` over duplicate entries of ``rows``.
 
     Returns ``(unique_rows, packed_values)`` with ``unique_rows`` sorted.
-    ``n_rows`` bounds the row ids (default ``rows.max() + 1``).  Runs as one
-    :func:`segment_sum` with unit weights, so duplicates add in ascending
-    position, exactly like the row-sparse SpMM backward.
+    Runs as one :func:`segment_sum` with unit weights, so duplicates add in
+    ascending position, exactly like the row-sparse SpMM backward.
     """
     rows = np.asarray(rows, dtype=np.int64)
     values = np.asarray(values)
@@ -95,10 +89,9 @@ def coalesce_rows(rows: np.ndarray, values: np.ndarray,
         return rows, values[:0]
     if rows.min() < 0:
         raise IndexError(f"negative row index {rows.min()}")
-    n = int(rows.max()) + 1 if n_rows is None else int(n_rows)
     indptr = np.arange(rows.size + 1, dtype=np.int64)
     return segment_sum(rows, indptr, np.ones(rows.size, dtype=values.dtype),
-                       values, n)
+                       values, int(rows.max()) + 1)
 
 
 class RowSparseGrad:
@@ -155,7 +148,7 @@ class RowSparseGrad:
     def from_rows(cls, rows: np.ndarray, values: np.ndarray,
                   shape: Tuple[int, ...]) -> "RowSparseGrad":
         """Build from a (possibly duplicated) row list, coalescing on the way."""
-        unique, packed = coalesce_rows(rows, np.asarray(values), shape[0])
+        unique, packed = coalesce_rows(rows, np.asarray(values))
         return cls(unique, packed, shape)
 
     @classmethod

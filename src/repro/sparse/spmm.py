@@ -31,6 +31,7 @@ from repro.sparse.backends import (
     DEFAULT_BACKEND,
     SparseLike,
     SpMMBackend,
+    _csr_arrays,
     get_backend,
 )
 from repro.sparse.coo import COOMatrix
@@ -43,23 +44,6 @@ def _transpose(A: SparseLike):
         return A.T
     if sp.issparse(A):
         return A.T.tocsr()
-    raise TypeError(f"expected a sparse matrix, got {type(A)!r}")
-
-
-def _csr_arrays(A: SparseLike):
-    """``(indptr, indices, data)`` of ``A`` in CSR order (no copy for CSR input).
-
-    COO input is sorted by ``(row, col)``; that reorders entries only within
-    a row and keeps duplicates of one column in stored order, so each output
-    row of the backward still adds the same terms in the same order.
-    """
-    if isinstance(A, COOMatrix):
-        A = A.tocsr()
-    if isinstance(A, CSRMatrix):
-        return A.indptr, A.indices, A.data
-    if sp.issparse(A):
-        csr = A.tocsr()
-        return csr.indptr, csr.indices, csr.data
     raise TypeError(f"expected a sparse matrix, got {type(A)!r}")
 
 
